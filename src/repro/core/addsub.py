@@ -31,6 +31,16 @@ from repro.sram.isa import (
 from repro.sram.program import Program
 
 
+def _ripple(row: int, rounds: int) -> tuple:
+    """``rounds`` in-place :class:`CarryStep` rounds on ``row``."""
+    return (CarryStep(row, row),) * rounds
+
+
+def _slide(row: int, shifts: int, direction: ShiftDirection) -> tuple:
+    """``shifts`` array-wide 1-bit shifts of ``row`` (spill movement)."""
+    return (ShiftRow(row, row, direction, segmented=False),) * shifts
+
+
 def emit_resolve(program: Program, layout: DataLayout) -> None:
     """Collapse the carry-save pair into a plain value in the Sum row.
 
@@ -39,10 +49,10 @@ def emit_resolve(program: Program, layout: DataLayout) -> None:
     """
     s = layout.scratch
     program.begin_section("carry_resolve")
-    program.emit(ShiftRow(s.carry, s.carry, ShiftDirection.LEFT))
-    program.emit(BinaryPair(s.sum, s.sum, s.carry))
-    for _ in range(layout.width - 1):
-        program.emit(CarryStep(s.sum, s.sum))
+    program.extend(layout.block(("resolve",), lambda: (
+        ShiftRow(s.carry, s.carry, ShiftDirection.LEFT),
+        BinaryPair(s.sum, s.sum, s.carry),
+    ) + _ripple(s.sum, layout.width - 1)))
     program.end_section()
 
 
@@ -57,12 +67,13 @@ def emit_cond_subtract(program: Program, layout: DataLayout, x_row: int) -> None
     if x_row in (s.t0, s.t1):
         raise LayoutError("cond_subtract operand may not alias its temporaries")
     program.begin_section("cond_subtract")
-    program.emit(Unary(UnaryOp.NOT, s.t0, s.mod, set_lsb=True))
-    program.emit(BinaryPair(s.t1, x_row, s.t0))
-    for _ in range(layout.width):
-        program.emit(CarryStep(s.t1, s.t1))
-    program.emit(CheckCarry())
-    program.emit(CopyGated(x_row, s.t1))
+    program.extend(layout.block(("cond_subtract", x_row), lambda: (
+        Unary(UnaryOp.NOT, s.t0, s.mod, set_lsb=True),
+        BinaryPair(s.t1, x_row, s.t0),
+    ) + _ripple(s.t1, layout.width) + (
+        CheckCarry(),
+        CopyGated(x_row, s.t1),
+    )))
     program.end_section()
 
 
@@ -76,11 +87,11 @@ def emit_mod_add(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     if dst in (s.t0, s.t1):
         raise LayoutError("mod_add destination may not alias the temporaries")
     program.begin_section("mod_add")
-    program.emit(BinaryPair(dst, a_row, b_row))
     # a + b < 2M < 2^w: the value settles within width-1 rounds and no
     # carry leaves the tile.
-    for _ in range(layout.width - 1):
-        program.emit(CarryStep(dst, dst))
+    program.extend(layout.block(("mod_add", dst, a_row, b_row), lambda: (
+        (BinaryPair(dst, a_row, b_row),) + _ripple(dst, layout.width - 1)
+    )))
     program.end_section()
     emit_cond_subtract(program, layout, dst)
 
@@ -95,14 +106,13 @@ def emit_mod_sub(program: Program, layout: DataLayout, dst: int, a_row: int, b_r
     if dst in (s.t0, s.t1):
         raise LayoutError("mod_sub destination may not alias the temporaries")
     program.begin_section("mod_sub")
-    program.emit(Unary(UnaryOp.NOT, s.t0, b_row))
-    program.emit(BinaryPair(dst, a_row, s.t0, carry_in=True))
-    for _ in range(layout.width):
-        program.emit(CarryStep(dst, dst))
-    program.emit(CheckCarry(invert=True))
-    program.emit(BinaryPair(dst, dst, s.mod, gate_operand1=True))
-    for _ in range(layout.width - 1):
-        program.emit(CarryStep(dst, dst))
+    program.extend(layout.block(("mod_sub", dst, a_row, b_row), lambda: (
+        Unary(UnaryOp.NOT, s.t0, b_row),
+        BinaryPair(dst, a_row, s.t0, carry_in=True),
+    ) + _ripple(dst, layout.width) + (
+        CheckCarry(invert=True),
+        BinaryPair(dst, dst, s.mod, gate_operand1=True),
+    ) + _ripple(dst, layout.width - 1)))
     program.end_section()
 
 
@@ -118,9 +128,10 @@ def emit_fetch(program: Program, layout: DataLayout, dst: int, src_row: int,
     if tile_offset == 0:
         return src_row
     program.begin_section("spill_fetch")
-    program.emit(Unary(UnaryOp.COPY, dst, src_row))
-    for _ in range(tile_offset * layout.width):
-        program.emit(ShiftRow(dst, dst, ShiftDirection.RIGHT, segmented=False))
+    program.extend(layout.block(("fetch", dst, src_row, tile_offset), lambda: (
+        (Unary(UnaryOp.COPY, dst, src_row),)
+        + _slide(dst, tile_offset * layout.width, ShiftDirection.RIGHT)
+    )))
     program.end_section()
     return dst
 
@@ -136,19 +147,21 @@ def emit_store(program: Program, layout: DataLayout, value_row: int, dst_row: in
     a per-tile gated copy.
     """
     program.begin_section("store")
-    if not layout.uses_spill:
-        if value_row != dst_row:
-            program.emit(Unary(UnaryOp.COPY, dst_row, value_row))
-        program.end_section()
-        return
-    if tile_offset == 0:
-        source = value_row
-    else:
-        program.emit(Unary(UnaryOp.COPY, shuttle_row, value_row))
-        for _ in range(tile_offset * layout.width):
-            program.emit(ShiftRow(shuttle_row, shuttle_row, ShiftDirection.LEFT,
-                                  segmented=False))
-        source = shuttle_row
-    program.emit(SetFlags(layout.offset_tile_mask(tile_offset)))
-    program.emit(CopyGated(dst_row, source))
+    program.extend(layout.block(
+        ("store", value_row, dst_row, tile_offset, shuttle_row),
+        lambda: _store_block(layout, value_row, dst_row, tile_offset, shuttle_row),
+    ))
     program.end_section()
+
+
+def _store_block(layout: DataLayout, value_row: int, dst_row: int,
+                 tile_offset: int, shuttle_row: int) -> tuple:
+    if not layout.uses_spill:
+        return () if value_row == dst_row else (Unary(UnaryOp.COPY, dst_row, value_row),)
+    staging, source = (), value_row
+    if tile_offset:
+        staging = (Unary(UnaryOp.COPY, shuttle_row, value_row),) + _slide(
+            shuttle_row, tile_offset * layout.width, ShiftDirection.LEFT)
+        source = shuttle_row
+    return staging + (SetFlags(layout.offset_tile_mask(tile_offset)),
+                      CopyGated(dst_row, source))

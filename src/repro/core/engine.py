@@ -220,8 +220,6 @@ class BPNTTEngine:
                 raise ParameterError(f"unknown kernel {kernel!r}")
         return self._programs[kernel]
 
-    _get_program = compiled_program  # backwards-compatible alias
-
     def pointwise_program(self, other_hat: Sequence[int]) -> Program:
         """Cached pointwise-multiply program for one multiplier polynomial.
 

@@ -19,6 +19,7 @@ same internal geometry, all groups perform these shifts in lockstep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Dict, Iterable
 
 from repro.core.tiles import SCRATCH_ROW_COUNT
 from repro.errors import CapacityError, LayoutError, ParameterError
@@ -87,6 +88,11 @@ class DataLayout:
             sum=base, carry=base + 1, t0=base + 2, t1=base + 3,
             landing=base + 4, mod=base + 5,
         )
+        # The compiler's instruction blocks and the instructions inside
+        # them.  Block keys name rows and shift counts, never twiddle or
+        # operand values, so both memos are bounded by this geometry.
+        self._blocks: Dict[tuple, tuple] = {}
+        self._instructions: Dict[object, object] = {}
 
     @property
     def uses_spill(self) -> bool:
@@ -127,6 +133,20 @@ class DataLayout:
         for slot in range(self.batch):
             flags |= 1 << (slot * self.tiles_per_poly + tile_offset)
         return flags
+
+    def block(self, key: tuple, build: Callable[[], Iterable]) -> tuple:
+        """The instruction block named ``key``, built once by ``build``.
+
+        Blocks are tuples of frozen instructions, interned per layout, so
+        every program compiled on this layout streams shared copies of
+        one small template set (the twiddle bits only choose which
+        blocks are emitted, §IV-D).
+        """
+        block = self._blocks.get(key)
+        if block is None:
+            intern = self._instructions.setdefault
+            block = self._blocks[key] = tuple(intern(i, i) for i in build())
+        return block
 
     def word_mask(self) -> int:
         """All-ones value of one coefficient word."""

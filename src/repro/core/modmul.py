@@ -56,41 +56,42 @@ def emit_modmul(program: Program, layout: DataLayout, twiddle: int, b_row: int) 
     """Emit ``(Sum, Carry) = twiddle * row[b_row] * R^-1 mod M`` (carry-save).
 
     ``twiddle`` is the Montgomery-scaled multiplier (``zeta * R mod M``);
-    its bits are burned into the instruction stream.
+    its bits are burned into the instruction stream by choosing, per
+    iteration, the reduction block alone or the add block followed by
+    it.  Both blocks are built once per layout (and ``b_row``).
     """
     if not 0 <= twiddle < (1 << layout.width):
         raise ParameterError(
             f"twiddle {twiddle} does not fit the {layout.width}-bit container"
         )
     s = layout.scratch
+    prologue = layout.block(("modmul_prologue",), lambda: (
+        Unary(UnaryOp.ZERO, s.sum),
+        Unary(UnaryOp.ZERO, s.carry),
+    ))
+    reduce = layout.block(("modmul_reduce",), lambda: (
+        Check(s.sum, bit_index=0),
+        LogicBinary(BinaryOp.AND, s.t1, s.sum, s.mod, gate_operand1=True),
+        LogicBinary(BinaryOp.XOR, s.t0, s.sum, s.mod, gate_operand1=True),
+        ShiftRow(s.t0, s.t0, ShiftDirection.RIGHT),
+        LogicBinary(BinaryOp.XOR, s.sum, s.t0, s.t1),
+        LogicBinary(BinaryOp.AND, s.t0, s.t0, s.t1),
+        LogicBinary(BinaryOp.AND, s.t1, s.carry, s.sum),
+        LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.sum),
+        LogicBinary(BinaryOp.OR, s.carry, s.t0, s.t1),
+    ))
+    add_reduce = layout.block(("modmul_add", b_row), lambda: (
+        LogicBinary(BinaryOp.AND, s.t1, s.sum, b_row),
+        LogicBinary(BinaryOp.XOR, s.t0, s.sum, b_row),
+        ShiftRow(s.carry, s.carry, ShiftDirection.LEFT),
+        LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.t0),
+        LogicBinary(BinaryOp.AND, s.t0, s.carry, s.t0),
+        LogicBinary(BinaryOp.OR, s.carry, s.t1, s.t0),
+    ) + reduce)
     program.begin_section("modmul")
-    program.emit(Unary(UnaryOp.ZERO, s.sum))
-    program.emit(Unary(UnaryOp.ZERO, s.carry))
+    program.extend(prologue)
     for i in range(layout.width):
-        if (twiddle >> i) & 1:
-            program.extend(
-                [
-                    LogicBinary(BinaryOp.AND, s.t1, s.sum, b_row),
-                    LogicBinary(BinaryOp.XOR, s.t0, s.sum, b_row),
-                    ShiftRow(s.carry, s.carry, ShiftDirection.LEFT),
-                    LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.t0),
-                    LogicBinary(BinaryOp.AND, s.t0, s.carry, s.t0),
-                    LogicBinary(BinaryOp.OR, s.carry, s.t1, s.t0),
-                ]
-            )
-        program.extend(
-            [
-                Check(s.sum, bit_index=0),
-                LogicBinary(BinaryOp.AND, s.t1, s.sum, s.mod, gate_operand1=True),
-                LogicBinary(BinaryOp.XOR, s.t0, s.sum, s.mod, gate_operand1=True),
-                ShiftRow(s.t0, s.t0, ShiftDirection.RIGHT),
-                LogicBinary(BinaryOp.XOR, s.sum, s.t0, s.t1),
-                LogicBinary(BinaryOp.AND, s.t0, s.t0, s.t1),
-                LogicBinary(BinaryOp.AND, s.t1, s.carry, s.sum),
-                LogicBinary(BinaryOp.XOR, s.sum, s.carry, s.sum),
-                LogicBinary(BinaryOp.OR, s.carry, s.t0, s.t1),
-            ]
-        )
+        program.extend(add_reduce if (twiddle >> i) & 1 else reduce)
     program.end_section()
 
 

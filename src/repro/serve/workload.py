@@ -54,6 +54,7 @@ key).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union
@@ -325,10 +326,14 @@ def _materialize(scenario: Scenario, arrivals: List[float],
 
 
 def _check_rate_duration(rate: float, duration_s: float) -> None:
-    if rate <= 0:
-        raise ParameterError(f"rate must be positive, got {rate}")
-    if duration_s <= 0:
-        raise ParameterError(f"duration must be positive, got {duration_s}")
+    # ``nan <= 0`` is False and an infinite rate never advances the
+    # arrival clock, so both must be rejected explicitly.
+    if not (math.isfinite(rate) and rate > 0):
+        raise ParameterError(f"rate must be positive and finite, got {rate}")
+    if not (math.isfinite(duration_s) and duration_s > 0):
+        raise ParameterError(
+            f"duration must be positive and finite, got {duration_s}"
+        )
 
 
 def poisson_trace(scenario_name: str, rate: float, duration_s: float, *,

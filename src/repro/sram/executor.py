@@ -21,6 +21,7 @@ Semantics worth calling out (each mirrors a paper mechanism):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -43,6 +44,22 @@ from repro.sram.isa import (
 )
 from repro.sram.program import Program
 from repro.sram.subarray import SRAMSubarray
+
+
+#: Technology-model class of every instruction type: the one table that
+#: static pricing, section attribution and the program verifier share.
+INSTRUCTION_KINDS: Dict[type, str] = {
+    Check: "check",
+    CheckCarry: "check",
+    SetFlags: "check",
+    Unary: "unary",
+    ShiftRow: "shift",
+    LogicBinary: "logic",
+    BinaryPair: "pair",
+    CarryStep: "carry_step",
+    SetLatch: "set_latch",
+    CopyGated: "copy_gated",
+}
 
 
 @dataclass
@@ -126,15 +143,9 @@ class Executor:
                 self.execute(instruction)
         finally:
             self.stats = lifetime
-        # Attribute section cycles using the program's recorded ranges and
-        # the per-instruction cycle table (1 cycle default).
-        cursor = 0
-        cycle_at = []
-        for instruction in program.instructions:
-            kind = _instruction_kind(instruction)
-            cursor += self.tech.instruction_cycles(kind)
-            cycle_at.append(cursor)
-        _attribute_sections(program, cycle_at, run_stats.section_cycles)
+        # Section cycles follow from the cycle table alone, so they are
+        # the static profile's (one attribution rule for both paths).
+        run_stats.section_cycles = profile_program(program, self.tech).section_cycles
         self.stats.accumulate(run_stats)
         assert self.stats.cycles >= before
         return run_stats
@@ -260,15 +271,35 @@ def profile_program(program: Program, tech: TechnologyModel = TECH_45NM) -> Exec
     The serving simulator uses this to price a kernel invocation once
     per compiled program instead of interpreting millions of bitline
     operations per batch.
+
+    Energy is summed one instruction at a time in program order, exactly
+    as the interpreter charges it, so the float total is bit-identical
+    (a count-times-unit product or a compensated sum would not be).
     """
-    stats = ExecutionStats()
+    instructions = program.instructions
+    type_counts = Counter(map(type, instructions))  # first-appearance order
+    op_counts: Dict[str, int] = {}
+    unit = {}
+    for cls, count in type_counts.items():
+        if cls not in INSTRUCTION_KINDS:
+            # The interpreter's error, naming the first such instruction.
+            _instruction_kind(next(i for i in instructions if type(i) is cls))
+        kind = INSTRUCTION_KINDS[cls]
+        op_counts[kind] = op_counts.get(kind, 0) + count
+        unit[cls] = (tech.instruction_cycles(kind), tech.instruction_energy_pj(kind))
+    cycles = 0
+    energy = 0.0
     cycle_at = []
-    for instruction in program.instructions:
-        kind = _instruction_kind(instruction)
-        stats.charge(kind, tech.instruction_cycles(kind), tech.instruction_energy_pj(kind))
-        if isinstance(instruction, ShiftRow):
-            stats.shift_count += 1
-        cycle_at.append(stats.cycles)
+    append = cycle_at.append
+    for instruction in instructions:
+        unit_cycles, unit_energy = unit[type(instruction)]
+        cycles += unit_cycles
+        energy += unit_energy
+        append(cycles)
+    stats = ExecutionStats(
+        cycles=cycles, energy_pj=energy, instructions=len(instructions),
+        op_counts=op_counts, shift_count=type_counts[ShiftRow],
+    )
     _attribute_sections(program, cycle_at, stats.section_cycles)
     return stats
 
@@ -300,20 +331,7 @@ def _lsb_columns(sub: SRAMSubarray) -> int:
 
 def _instruction_kind(instruction) -> str:
     """Map an instruction to its technology-model class name."""
-    if isinstance(instruction, (Check, CheckCarry, SetFlags)):
-        return "check"
-    if isinstance(instruction, Unary):
-        return "unary"
-    if isinstance(instruction, ShiftRow):
-        return "shift"
-    if isinstance(instruction, LogicBinary):
-        return "logic"
-    if isinstance(instruction, BinaryPair):
-        return "pair"
-    if isinstance(instruction, CarryStep):
-        return "carry_step"
-    if isinstance(instruction, SetLatch):
-        return "set_latch"
-    if isinstance(instruction, CopyGated):
-        return "copy_gated"
-    raise ExecutionError(f"unknown instruction {instruction!r}")
+    try:
+        return INSTRUCTION_KINDS[type(instruction)]
+    except KeyError:
+        raise ExecutionError(f"unknown instruction {instruction!r}") from None

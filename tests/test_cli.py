@@ -388,3 +388,32 @@ class TestStreamingCli:
                   str(tmp_path / "b.json")])
         assert excinfo.value.code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestNonFiniteTraceKnobs:
+    """``--rate``/``--duration`` must be finite: ``nan`` slipped past the
+    ``> 0`` check and an infinite rate never advanced the arrival clock.
+    Each case runs in a subprocess under a timeout, so a regression that
+    hangs trace generation fails instead of stalling the suite."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rate", "nan"),
+        ("--rate", "inf"),
+        ("--duration", "inf"),
+    ])
+    def test_serve_rejects_non_finite(self, flag, value):
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "serve", "--scenario", "ntt",
+             flag, value],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode != 0
+        assert "finite" in done.stderr and value in done.stderr
